@@ -37,10 +37,13 @@
 //!   does not close.
 //!
 //! Host functions render as real runnable C: `calloc`/`memcpy` for the
-//! alloc/copy statements, plain calls for launches, plus a tiny stdin/
-//! stdout protocol (`descend_load_inputs` / `descend_buf_dump`) so the
-//! harness can feed the same inputs the simulator sees and read back
-//! every CPU buffer. A generated `main` dispatches on `argv[1]`.
+//! alloc/copy statements, plain calls for launches, plus a tiny binary
+//! stdin/stdout protocol (`descend_load_inputs` / `descend_buf_dump`)
+//! so the harness can feed the same inputs the simulator sees and read
+//! back every CPU buffer. Each record is an ASCII `name count\n` header
+//! followed by `count` native-endian `f64`s, so values cross the pipe
+//! bit-exactly with no decimal formatting or parsing. A generated
+//! `main` dispatches on `argv[1]`.
 
 use crate::shared::{
     access_index_expr, atomic_index_expr, atomic_targets, axis_name, for_each_stmt, indent,
@@ -378,10 +381,14 @@ static inline void descend_atomic_max_u32(uint32_t* p, uint32_t v) {
 
 ";
 
-/// The stdin/stdout harness runtime: `name count v0 v1 ...` records on
-/// stdin seed CPU buffers (with the simulator's exact quantization);
-/// every CPU buffer's final contents print one `name count v0 ...` line
-/// on stdout. `%.17g` round-trips every double exactly.
+/// The harness runtime. Inputs arrive on stdin and CPU buffers leave on
+/// stdout in one binary record format: an ASCII header `name count\n`,
+/// then `count` native-endian IEEE-754 doubles. Input records seed CPU
+/// buffers with the simulator's exact quantization; every CPU buffer's
+/// final contents are widened to `double` and written back as one
+/// record, so values cross the pipe bit-exactly. A malformed stream
+/// (bad header, short body, too many records) exits 2 with a message on
+/// stderr.
 const HOST_RUNTIME: &str = "\
 typedef enum {
     DESCEND_F64,
@@ -399,20 +406,33 @@ static struct {
 } descend_inputs[DESCEND_MAX_INPUTS];
 static int descend_input_count = 0;
 
+static inline void descend_fail(const char* what, const char* name) {
+    fprintf(stderr, \"descend: %s: %s\\n\", what, name);
+    exit(2);
+}
+
 static inline void descend_load_inputs(void) {
     char name[64];
     long long len;
-    while (descend_input_count < DESCEND_MAX_INPUTS && scanf(\"%63s %lld\", name, &len) == 2) {
-        double* vals = (double*)calloc(len > 0 ? (size_t)len : 1, sizeof(double));
-        for (long long i = 0; i < len; i++) {
-            if (scanf(\"%lf\", &vals[i]) != 1) {
-                break;
-            }
+    int got;
+    while ((got = scanf(\"%63s %lld\", name, &len)) == 2) {
+        if (getchar() != '\\n') {
+            descend_fail(\"record header not followed by a newline\", name);
+        }
+        if (descend_input_count == DESCEND_MAX_INPUTS) {
+            descend_fail(\"more than 64 input records\", name);
+        }
+        double* vals = len < 0 ? NULL : (double*)calloc(len > 0 ? (size_t)len : 1, sizeof(double));
+        if (vals == NULL || fread(vals, sizeof(double), (size_t)len, stdin) != (size_t)len) {
+            descend_fail(\"bad or short record body\", name);
         }
         strcpy(descend_inputs[descend_input_count].name, name);
         descend_inputs[descend_input_count].len = len;
         descend_inputs[descend_input_count].vals = vals;
         descend_input_count++;
+    }
+    if (got != EOF) {
+        descend_fail(\"malformed record header\", \"stdin\");
     }
 }
 
@@ -471,27 +491,34 @@ static inline void descend_buf_init(const char* name, void* buf, long long len, 
 
 static inline void descend_buf_dump(const char* name, const void* buf, long long len,
                                     descend_elem k) {
-    printf(\"%s %lld\", name, len);
+    double* vals = (double*)calloc(len > 0 ? (size_t)len : 1, sizeof(double));
+    if (vals == NULL) {
+        descend_fail(\"out of memory\", name);
+    }
     for (long long j = 0; j < len; j++) {
         switch (k) {
         case DESCEND_F64:
-            printf(\" %.17g\", ((const double*)buf)[j]);
+            vals[j] = ((const double*)buf)[j];
             break;
         case DESCEND_F32:
-            printf(\" %.17g\", (double)((const float*)buf)[j]);
+            vals[j] = (double)((const float*)buf)[j];
             break;
         case DESCEND_I32:
-            printf(\" %lld\", (long long)((const int32_t*)buf)[j]);
+            vals[j] = (double)((const int32_t*)buf)[j];
             break;
         case DESCEND_U32:
-            printf(\" %llu\", (unsigned long long)((const uint32_t*)buf)[j]);
+            vals[j] = (double)((const uint32_t*)buf)[j];
             break;
         case DESCEND_BOOL:
-            printf(\" %d\", ((const bool*)buf)[j] ? 1 : 0);
+            vals[j] = ((const bool*)buf)[j] ? 1.0 : 0.0;
             break;
         }
     }
-    printf(\"\\n\");
+    printf(\"%s %lld\\n\", name, len);
+    if (fwrite(vals, sizeof(double), (size_t)len, stdout) != (size_t)len) {
+        descend_fail(\"short write\", name);
+    }
+    free(vals);
 }
 
 ";

@@ -11,8 +11,10 @@
 //! Usage:
 //!   bench_native [--reps N] [--json PATH]
 //!
-//! Timings are min-of-N. The native figure times one full process run
-//! (spawn + stdin feed + kernel + dump); C compilation happens once,
+//! Timings are min-of-N. The native figure times one full process run:
+//! spawn, the binary input records on stdin, the kernel, and the binary
+//! dump on stdout. No value is formatted as decimal text on either side,
+//! so the figure is mostly spawn plus kernel. C compilation happens once,
 //! outside the timed region, as does the Rust-side compile. Exits 0
 //! with a notice when no host C compiler is installed, so scheduled CI
 //! can run it unconditionally.

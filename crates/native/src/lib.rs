@@ -2,13 +2,18 @@
 //!
 //! The C backend (`CBackend` in `descend_backends`) emits a portable
 //! C11 (+OpenMP) translation unit whose host functions speak a tiny
-//! stdin/stdout protocol: `name count v0 v1 ...` records seed the CPU
-//! buffers, and every CPU buffer's final contents print back as one
-//! `name count v0 ...` line. This crate closes the loop on a developer
-//! machine: it finds a working host C compiler, probes OpenMP support,
-//! compiles the emitted source in a scratch directory, runs the binary
-//! on the same inputs the simulator consumes, and parses the dump back
-//! into `HashMap<String, Vec<f64>>` — the simulator's own buffer
+//! binary stdin/stdout protocol. Both directions use the same record:
+//! an ASCII header `name count\n`, then `count` native-endian IEEE-754
+//! `f64`s. Input records seed the CPU buffers, and every CPU buffer's
+//! final contents come back as one record, widened to `f64`. No value
+//! is ever formatted or parsed as decimal text, so the transfer is
+//! bit-exact by construction (`-0.0`, subnormals, NaN payloads).
+//!
+//! This crate closes the loop on a developer machine: it finds a
+//! working host C compiler, probes OpenMP support, compiles the emitted
+//! source in a scratch directory, runs the binary on the same inputs
+//! the simulator consumes, and parses the dump back into
+//! `HashMap<String, Vec<f64>>` — the simulator's own buffer
 //! representation — so callers can compare the two executions value
 //! for value.
 //!
@@ -36,7 +41,8 @@ pub enum NativeError {
     Compile(String),
     /// The compiled binary exited nonzero; carries its stderr.
     Run(String),
-    /// The binary's stdout did not parse as `name count v0 ...` lines.
+    /// A buffer name cannot be encoded, or the binary's stdout is not a
+    /// sequence of well-formed `name count\n` + `f64` records.
     Protocol(String),
     /// Filesystem or process-spawn failure.
     Io(std::io::Error),
@@ -227,25 +233,31 @@ impl CompiledNative {
         host_fn: &str,
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<HashMap<String, Vec<f64>>, NativeError> {
+        parse_dump(&self.run_bytes(host_fn, &encode_inputs(inputs)?)?)
+    }
+
+    /// Run one host function with `stdin` as its raw input stream and
+    /// return its raw stdout. A binary that rejects the stream exits
+    /// nonzero, which surfaces as [`NativeError::Run`] with its stderr.
+    pub fn run_bytes(&self, host_fn: &str, stdin: &[u8]) -> Result<Vec<u8>, NativeError> {
         let mut child = Command::new(&self.exe)
             .arg(host_fn)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()?;
-        // Feed every input record, then close stdin so the scanf loop
-        // terminates.
-        {
-            let mut stdin = child.stdin.take().expect("piped stdin");
-            stdin.write_all(format_inputs(inputs).as_bytes())?;
-        }
+        // Feed the whole stream, then close stdin so the loader sees
+        // EOF. A binary that bails out early closes the pipe; its exit
+        // status is the better error, so check that first.
+        let fed = child.stdin.take().expect("piped stdin").write_all(stdin);
         let out = child.wait_with_output()?;
         if !out.status.success() {
             return Err(NativeError::Run(
                 String::from_utf8_lossy(&out.stderr).into_owned(),
             ));
         }
-        parse_dump(&String::from_utf8_lossy(&out.stdout))
+        fed?;
+        Ok(out.stdout)
     }
 }
 
@@ -255,59 +267,74 @@ impl Drop for CompiledNative {
     }
 }
 
-/// Render simulator-style inputs as the stdin protocol the generated
-/// `main` reads: one `name count v0 v1 ...` record per buffer. Values
-/// print with Rust's shortest round-trip formatting, which `scanf
-/// %lf` parses exactly. Records are name-sorted so the stream is
-/// deterministic.
-pub fn format_inputs(inputs: &HashMap<String, Vec<f64>>) -> String {
+/// Longest buffer name the generated loader accepts (its `%63s`).
+const MAX_NAME: usize = 63;
+
+/// [`format_inputs`], rejecting names that would desynchronise the
+/// stream: empty, longer than [`MAX_NAME`] bytes, or with whitespace.
+fn encode_inputs(inputs: &HashMap<String, Vec<f64>>) -> Result<Vec<u8>, NativeError> {
     let mut names: Vec<&String> = inputs.keys().collect();
     names.sort();
-    let mut out = String::new();
+    let mut out = Vec::new();
     for name in names {
-        let vals = &inputs[name];
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&vals.len().to_string());
-        for v in vals {
-            out.push(' ');
-            out.push_str(&format!("{v:?}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse the binary's stdout — one `name count v0 v1 ...` line per CPU
-/// buffer — back into the simulator's buffer representation.
-pub fn parse_dump(stdout: &str) -> Result<HashMap<String, Vec<f64>>, NativeError> {
-    let mut out = HashMap::new();
-    for line in stdout.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut toks = line.split_whitespace();
-        let name = toks
-            .next()
-            .ok_or_else(|| NativeError::Protocol(format!("empty record: {line:?}")))?;
-        let count: usize = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| NativeError::Protocol(format!("missing count: {line:?}")))?;
-        let vals: Vec<f64> = toks
-            .map(|t| {
-                t.parse::<f64>()
-                    .map_err(|_| NativeError::Protocol(format!("bad value {t:?} in {name}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if vals.len() != count {
+        if name.is_empty() || name.len() > MAX_NAME || name.contains(char::is_whitespace) {
             return Err(NativeError::Protocol(format!(
-                "{name}: header says {count} values, line has {}",
-                vals.len()
+                "buffer name {name:?} must be 1 to {MAX_NAME} bytes without whitespace"
             )));
         }
-        out.insert(name.to_string(), vals);
+        let vals = &inputs[name];
+        out.extend_from_slice(format!("{name} {}\n", vals.len()).as_bytes());
+        out.extend(vals.iter().flat_map(|v| v.to_ne_bytes()));
+    }
+    Ok(out)
+}
+
+/// Render simulator-style inputs as the stdin stream the generated
+/// `main` reads: per buffer, a `name count\n` header and `count`
+/// native-endian `f64`s. Records are name-sorted so the stream is
+/// deterministic.
+///
+/// # Panics
+///
+/// If a buffer name is empty, longer than 63 bytes or contains
+/// whitespace; [`CompiledNative::run`] reports those as
+/// [`NativeError::Protocol`] instead.
+pub fn format_inputs(inputs: &HashMap<String, Vec<f64>>) -> Vec<u8> {
+    encode_inputs(inputs).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parse the binary's stdout, the same records [`format_inputs`]
+/// writes, back into the simulator's buffer representation.
+pub fn parse_dump(mut dump: &[u8]) -> Result<HashMap<String, Vec<f64>>, NativeError> {
+    let bad = NativeError::Protocol;
+    let mut out = HashMap::new();
+    while !dump.is_empty() {
+        // A header is at most a name, a space, 20 digits and `\n`.
+        let nl = dump
+            .iter()
+            .take(MAX_NAME + 22)
+            .position(|&b| b == b'\n')
+            .ok_or_else(|| bad(format!("{} bytes left, no record header", dump.len())))?;
+        let header = String::from_utf8_lossy(&dump[..nl]);
+        let (name, count) = header
+            .split_once(' ')
+            .ok_or_else(|| bad(format!("record header {header:?} has no count")))?;
+        let count: usize = count
+            .parse()
+            .map_err(|_| bad(format!("`{name}`: non-numeric count {count:?}")))?;
+        let (body, rest) = count
+            .checked_mul(8)
+            .ok_or_else(|| bad(format!("`{name}`: count {count} overflows")))
+            .and_then(|len| {
+                dump[nl + 1..]
+                    .split_at_checked(len)
+                    .ok_or_else(|| bad(format!("`{name}`: body shorter than its {count} values")))
+            })?;
+        let vals = body
+            .chunks_exact(8)
+            .map(|c| f64::from_ne_bytes(c.try_into().expect("8 bytes")));
+        out.insert(name.to_string(), vals.collect());
+        dump = rest;
     }
     Ok(out)
 }
@@ -316,34 +343,114 @@ pub fn parse_dump(stdout: &str) -> Result<HashMap<String, Vec<f64>>, NativeError
 mod tests {
     use super::*;
 
+    /// One dump record: header plus native-endian body.
+    fn record(name: &str, vals: &[f64]) -> Vec<u8> {
+        let mut out = format!("{name} {}\n", vals.len()).into_bytes();
+        for v in vals {
+            out.extend_from_slice(&v.to_ne_bytes());
+        }
+        out
+    }
+
+    fn protocol_error(dump: &[u8]) -> String {
+        match parse_dump(dump) {
+            Err(NativeError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    /// Records round-trip bit for bit, edge values included.
     #[test]
     fn inputs_round_trip_through_the_protocol() {
+        let edge = vec![
+            -0.0,
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with a payload
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN
+            0.1,
+        ];
         let mut inputs = HashMap::new();
-        inputs.insert("h".to_string(), vec![1.0, -2.5, 3.25]);
+        inputs.insert("h".to_string(), edge);
         inputs.insert("a".to_string(), vec![7.0]);
-        let text = format_inputs(&inputs);
-        // Name-sorted, one record per line, parseable by scanf %lf.
-        assert_eq!(text, "a 1 7.0\nh 3 1.0 -2.5 3.25\n");
-        // The dump format is the same shape; parse_dump inverts it.
-        let parsed = parse_dump("a 1 7\nh 3 1 -2.5 3.25\n").unwrap();
-        assert_eq!(parsed, inputs);
+        inputs.insert("empty".to_string(), vec![]);
+        let bytes = format_inputs(&inputs);
+        // Name-sorted records, one header line each.
+        let mut want = record("a", &[7.0]);
+        want.extend(record("empty", &[]));
+        want.extend(record("h", &inputs["h"]));
+        assert_eq!(bytes, want);
+        // The dump format is the same; parse_dump inverts it bit for bit.
+        let parsed = parse_dump(&bytes).unwrap();
+        assert_eq!(parsed.len(), inputs.len());
+        for (name, vals) in &inputs {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&parsed[name]), bits(vals), "{name}");
+        }
+        assert!(parse_dump(b"").unwrap().is_empty());
     }
 
     #[test]
-    fn parse_dump_rejects_malformed_records() {
-        assert!(matches!(
-            parse_dump("h two 1 2"),
-            Err(NativeError::Protocol(_))
-        ));
-        assert!(matches!(
-            parse_dump("h 3 1 2"),
-            Err(NativeError::Protocol(_))
-        ));
-        assert!(matches!(
-            parse_dump("h 1 abc"),
-            Err(NativeError::Protocol(_))
-        ));
-        assert!(parse_dump("").unwrap().is_empty());
+    fn parse_dump_rejects_a_truncated_body() {
+        let mut dump = record("h", &[1.0, 2.0, 3.0]);
+        dump.truncate(dump.len() - 1);
+        assert!(protocol_error(&dump).contains("shorter than its 3 values"));
+    }
+
+    #[test]
+    fn parse_dump_rejects_a_header_without_newline() {
+        assert!(protocol_error(b"h 3").contains("no record header"));
+        // The body must not be mistaken for the rest of the header.
+        let mut dump = b"h 1".to_vec();
+        dump.extend_from_slice(&1.0f64.to_ne_bytes());
+        assert!(matches!(parse_dump(&dump), Err(NativeError::Protocol(_))));
+    }
+
+    #[test]
+    fn parse_dump_rejects_a_non_numeric_count() {
+        assert!(protocol_error(b"h two\n").contains("non-numeric count"));
+        assert!(protocol_error(b"h -1\n").contains("non-numeric count"));
+        assert!(protocol_error(b"h\n").contains("no count"));
+    }
+
+    #[test]
+    fn parse_dump_rejects_trailing_bytes() {
+        let mut dump = record("h", &[1.0]);
+        dump.extend_from_slice(b"xyz");
+        assert!(protocol_error(&dump).contains("3 bytes"));
+        let mut dump = record("h", &[1.0]);
+        dump.push(b'\n');
+        assert!(protocol_error(&dump).contains("no count"));
+    }
+
+    #[test]
+    fn parse_dump_rejects_an_overflowing_count() {
+        let dump = format!("h {}\n", usize::MAX);
+        assert!(protocol_error(dump.as_bytes()).contains("overflows"));
+    }
+
+    #[test]
+    fn encoding_rejects_names_that_desynchronise_the_stream() {
+        for name in ["a b", "a\tb", "a\nb", "a\x0bb", "", &"n".repeat(64)] {
+            let inputs = HashMap::from([(name.to_string(), vec![1.0])]);
+            assert!(
+                matches!(encode_inputs(&inputs), Err(NativeError::Protocol(_))),
+                "{name:?}"
+            );
+        }
+        let longest = HashMap::from([("n".repeat(63), vec![1.0])]);
+        assert!(encode_inputs(&longest).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "without whitespace")]
+    fn format_inputs_panics_on_an_unencodable_name() {
+        format_inputs(&HashMap::from([("a b".to_string(), vec![])]));
     }
 
     #[test]

@@ -247,9 +247,9 @@ fn golden_reduce_structure() {
     assert!(c.contains("out[blockIdx_x] = tmp[threadIdx_x];"));
 }
 
-/// The full translation unit is a runnable program: stdin/stdout buffer
-/// protocol, a host function per Descend host fn, and an `argv[1]`
-/// dispatcher.
+/// The full translation unit is a runnable program: binary stdin/stdout
+/// buffer records, a host function per Descend host fn, and an
+/// `argv[1]` dispatcher.
 #[test]
 fn golden_host_program() {
     let src = std::fs::read_to_string("examples/descend/scale.descend").expect("corpus file");
@@ -260,7 +260,12 @@ fn golden_host_program() {
     assert!(tu.contains(
         "static inline void descend_buf_dump(const char* name, const void* buf, long long len,"
     ));
-    assert!(tu.contains("printf(\" %.17g\""));
+    // Records are an ASCII header plus raw doubles: no decimal text.
+    assert!(tu.contains("scanf(\"%63s %lld\", name, &len)"));
+    assert!(tu.contains("fread(vals, sizeof(double), (size_t)len, stdin)"));
+    assert!(tu.contains("printf(\"%s %lld\\n\", name, len);"));
+    assert!(tu.contains("fwrite(vals, sizeof(double), (size_t)len, stdout)"));
+    assert!(!tu.contains("%.17g") && !tu.contains("%lf"));
     // Host function: calloc + seed, alloc-copy, launch, copy-back, dump,
     // free — in statement order.
     let expected_host = "\

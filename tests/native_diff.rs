@@ -388,3 +388,160 @@ fn benchmark_sources_compile_with_host_cc() {
         result.unwrap_or_else(|e| panic!("bench:{name}: emitted C rejected:\n{e}"));
     }
 }
+
+/// A host program whose CPU buffers cover every element kind the host
+/// syntax accepts. The kernel stores every element back through its
+/// compute type, so loads, quantization on input and widening on
+/// output are all exercised.
+const ELEMENT_KINDS: &str = r#"
+fn touch(f: &uniq gpu.global [f64; 16], g: &uniq gpu.global [f32; 16],
+         i: &uniq gpu.global [i32; 16], u: &uniq gpu.global [u32; 16],
+         b: &uniq gpu.global [bool; 16])
+-[grid: gpu.grid<X<1>, X<16>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            (*f)[[thread]] = (*f)[[thread]];
+            (*g)[[thread]] = (*g)[[thread]];
+            (*i)[[thread]] = (*i)[[thread]];
+            (*u)[[thread]] = (*u)[[thread]];
+            (*b)[[thread]] = (*b)[[thread]];
+        }
+    }
+}
+
+fn main() -[t: cpu.thread]-> () {
+    let hf = alloc::<cpu.mem, [f64; 16]>();
+    let hg = alloc::<cpu.mem, [f32; 16]>();
+    let hi = alloc::<cpu.mem, [i32; 16]>();
+    let hu = alloc::<cpu.mem, [u32; 16]>();
+    let hb = alloc::<cpu.mem, [bool; 16]>();
+    let df = gpu_alloc_copy(&hf);
+    let dg = gpu_alloc_copy(&hg);
+    let di = gpu_alloc_copy(&hi);
+    let du = gpu_alloc_copy(&hu);
+    let db = gpu_alloc_copy(&hb);
+    touch<<<X<1>, X<16>>>>(&uniq df, &uniq dg, &uniq di, &uniq du, &uniq db);
+    copy_mem_to_host(&uniq hf, &df);
+    copy_mem_to_host(&uniq hg, &dg);
+    copy_mem_to_host(&uniq hi, &di);
+    copy_mem_to_host(&uniq hu, &du);
+    copy_mem_to_host(&uniq hb, &db);
+}
+"#;
+
+/// Edge values for the element-kind program: signed zeros, f64 and f32
+/// subnormals, values past the `i32`/`u32` range, fractions that round
+/// differently per kind, infinities and a NaN with a payload.
+fn edge_values() -> Vec<f64> {
+    vec![
+        -0.0,
+        0.0,
+        f64::from_bits(1),
+        1e-40,
+        -1e-45,
+        2.5,
+        -2.75,
+        0.1,
+        3e9,
+        -3e9,
+        5e9,
+        4294967295.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0x7ff8_0000_dead_beef),
+        f64::MAX,
+    ]
+}
+
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every element kind crosses the native binary bit-exactly: native ==
+/// simulator == a sequential quantization reference, compared through
+/// `to_bits` so `-0.0` and NaN payloads count.
+#[test]
+fn element_kinds_cross_the_protocol_bit_exactly() {
+    let vals = edge_values();
+    let inputs = buffers(&[
+        ("hf", vals.clone()),
+        ("hg", vals.clone()),
+        ("hi", vals.clone()),
+        ("hu", vals.clone()),
+        ("hb", vals.clone()),
+    ]);
+    let quantized = |q: fn(f64) -> f64| vals.iter().map(|&v| q(v)).collect::<Vec<_>>();
+    let expected = buffers(&[
+        ("hf", vals.clone()),
+        ("hg", quantized(|v| f64::from(v as f32))),
+        ("hi", quantized(|v| f64::from(v as i32))),
+        ("hu", quantized(|v| f64::from(v as u32))),
+        ("hb", quantized(|v| if v != 0.0 { 1.0 } else { 0.0 })),
+    ]);
+    let compiled = Compiler::with_backends(&["c"])
+        .expect("c backend registered")
+        .compile_source(ELEMENT_KINDS)
+        .unwrap_or_else(|e| panic!("compile failed:\n{e}"));
+    let sim = compiled
+        .run_host("main", &inputs, &LaunchConfig::default())
+        .expect("simulated run");
+    for (name, want) in &expected {
+        assert_eq!(bits(&sim.cpu[name]), bits(want), "simulator `{name}`");
+    }
+    let Some(tc) = toolchain() else {
+        return;
+    };
+    let exe = tc
+        .compile(compiled.target_source("c").expect("c selected"))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let native = exe.run("main", &inputs).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(native.len(), expected.len());
+    for (name, want) in &sim.cpu {
+        assert_eq!(bits(&native[name]), bits(want), "native `{name}`");
+    }
+}
+
+/// The generated loader rejects a malformed input stream loudly: a
+/// nonzero exit with a message, surfaced as `NativeError::Run`.
+#[test]
+fn generated_loader_rejects_malformed_streams() {
+    let Some(tc) = toolchain() else {
+        return;
+    };
+    let src = std::fs::read_to_string(corpus_path("scale.descend")).expect("corpus file");
+    let compiled = Compiler::with_backends(&["c"])
+        .expect("c backend registered")
+        .compile_source(&src)
+        .expect("compiles");
+    let exe = tc
+        .compile(compiled.target_source("c").expect("c selected"))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut short = b"h 2\n".to_vec();
+    short.extend_from_slice(&1.0f64.to_ne_bytes());
+    let too_many: Vec<u8> = (0..65)
+        .flat_map(|i| format!("b{i} 0\n").into_bytes())
+        .collect();
+    for (stream, want) in [
+        (short, "bad or short record body: h"),
+        (
+            b"h 1 \x00\x00\x00\x00\x00\x00\xf0\x3f".to_vec(),
+            "not followed by a newline: h",
+        ),
+        (b"h x\n".to_vec(), "malformed record header"),
+        (b"h -1\n".to_vec(), "bad or short record body: h"),
+        (too_many, "more than 64 input records: b64"),
+    ] {
+        match exe.run_bytes("main", &stream) {
+            Err(descend::native::NativeError::Run(msg)) => {
+                assert!(msg.contains(want), "expected {want:?} in {msg:?}")
+            }
+            other => panic!("expected a run failure for {want:?}, got {other:?}"),
+        }
+    }
+    // Too many buffers through the typed API fails the same way.
+    let inputs: HashMap<String, Vec<f64>> = (0..65).map(|i| (format!("b{i:02}"), vec![])).collect();
+    assert!(matches!(
+        exe.run("main", &inputs),
+        Err(descend::native::NativeError::Run(_))
+    ));
+}
