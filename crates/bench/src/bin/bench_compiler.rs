@@ -18,21 +18,20 @@
 //!
 //! `--json` writes the machine-readable results (schema
 //! `descend-bench-compiler/1`). `--baseline` re-reads a previously
-//! committed file and exits non-zero when the corpus totals regressed
-//! by more than 25% wall-clock, or when the warm/cold speedup fell
-//! below the 5x the incremental engine is designed to clear — the
-//! scheduled CI bench job runs with `--baseline BENCH_COMPILER.json`.
+//! committed file and exits 1 when the corpus totals regressed by more
+//! than 25% wall-clock (totals under the ratchet's noise floor never
+//! gate), or when the warm/cold speedup fell below the 5x the
+//! incremental engine is designed to clear — the scheduled CI bench job
+//! runs with `--baseline BENCH_COMPILER.json`. A baseline without
+//! `summary.cold_ms`/`summary.warm_ms` exits 2.
 
+use descend_bench::ratchet::{self, bail, load_baseline, summary, Args};
 use descend_compiler::CompileSession;
 use std::time::Instant;
 
-/// Totals above this baseline wall-clock participate in the >25%
-/// regression gate; smaller ones are timer noise (the warm-speedup
-/// ratio below gates unconditionally — ratios are robust to machine
-/// noise in a way single-digit-millisecond totals are not).
-const GATE_FLOOR_MS: f64 = 20.0;
-const REGRESSION_FACTOR: f64 = 1.25;
-/// The warm path must stay at least this much faster than cold.
+/// The warm path must stay at least this much faster than cold. Gates
+/// unconditionally: ratios are robust to machine noise in a way
+/// single-digit-millisecond totals are not.
 const MIN_WARM_SPEEDUP: f64 = 5.0;
 
 struct Entry {
@@ -60,21 +59,17 @@ fn corpus() -> Vec<(String, String)> {
 }
 
 fn main() {
-    let mut reps = 5usize;
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--reps" => reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N"),
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--baseline" => baseline_path = Some(args.next().expect("--baseline PATH")),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(|_, _| false);
+    // Read the baseline before timing anything, so a bad path or a
+    // drifted layout fails fast.
+    let baseline = args.baseline.as_deref().map(|path| {
+        let totals = load_baseline(path)
+            .and_then(|b| Ok([summary(&b, "cold_ms")?, summary(&b, "warm_ms")?]));
+        (
+            path,
+            totals.unwrap_or_else(|e| bail(&format!("{path}: {e}"))),
+        )
+    });
 
     let sources = corpus();
     assert!(!sources.is_empty(), "empty corpus");
@@ -83,16 +78,15 @@ fn main() {
     let mut entries: Vec<Entry> = sources
         .iter()
         .map(|(name, src)| {
-            let mut best = f64::MAX;
-            for _ in 0..reps {
+            let cold_ms = ratchet::min_of(args.reps, || {
                 let mut session = CompileSession::new();
                 let t = Instant::now();
                 session.compile_source(src).expect("pass corpus compiles");
-                best = best.min(t.elapsed().as_secs_f64());
-            }
+                t.elapsed().as_secs_f64() * 1e3
+            });
             Entry {
                 file: name.clone(),
-                cold_ms: best * 1e3,
+                cold_ms,
                 warm_ms: 0.0,
             }
         })
@@ -106,13 +100,9 @@ fn main() {
     }
     session.reset_stats();
     for (entry, (_, src)) in entries.iter_mut().zip(&sources) {
-        let mut best = f64::MAX;
-        for _ in 0..reps {
-            let t = Instant::now();
+        entry.warm_ms = ratchet::min_ms(args.reps, || {
             session.compile_source(src).expect("pass corpus compiles");
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        entry.warm_ms = best * 1e3;
+        });
     }
     assert_eq!(
         session.stats().misses(),
@@ -146,25 +136,14 @@ fn main() {
         n as f64 / (warm_total / 1e3),
     );
 
-    if let Some(path) = &json_path {
+    if let Some(path) = &args.json {
         std::fs::write(path, to_json(&entries)).expect("write json");
         println!("wrote {path}");
     }
 
-    if let Some(path) = &baseline_path {
-        let baseline = std::fs::read_to_string(path).expect("read baseline");
-        let mut failed = false;
-        for (key, new_ms) in [("cold_ms", cold_total), ("warm_ms", warm_total)] {
-            let Some(old_ms) = summary_field(&baseline, key) else {
-                continue;
-            };
-            if old_ms >= GATE_FLOOR_MS && new_ms > old_ms * REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: corpus {key}: {new_ms:.1}ms vs baseline {old_ms:.1}ms (>25%)"
-                );
-                failed = true;
-            }
-        }
+    if let Some((path, [old_cold, old_warm])) = baseline {
+        let mut failed = ratchet::regressed("corpus cold_ms", old_cold, cold_total);
+        failed |= ratchet::regressed("corpus warm_ms", old_warm, warm_total);
         if speedup < MIN_WARM_SPEEDUP {
             eprintln!("REGRESSION: warm speedup {speedup:.1}x fell below {MIN_WARM_SPEEDUP}x");
             failed = true;
@@ -202,16 +181,4 @@ fn to_json(entries: &[Entry]) -> String {
         cold_total / warm_total,
     ));
     s
-}
-
-/// Extracts one numeric field from the `"summary"` line of the JSON this
-/// tool itself writes — the same dependency-free ratchet parsing
-/// `bench_sim` uses.
-fn summary_field(json: &str, name: &str) -> Option<f64> {
-    let line = json.lines().find(|l| l.contains("\"summary\""))?;
-    let tag = format!("\"{name}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }

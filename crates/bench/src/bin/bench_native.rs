@@ -19,12 +19,12 @@
 //! with a notice when no host C compiler is installed, so scheduled CI
 //! can run it unconditionally.
 
+use descend_bench::ratchet::{bail, min_ms, Args};
 use descend_compiler::Compiler;
 use descend_native::Toolchain;
 use gpu_sim::LaunchConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Instant;
 
 const PROGRAMS: &[&str] = &[
     "scale.descend",
@@ -46,38 +46,12 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/descend")
 }
 
-fn min_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn main() {
-    let mut reps = 5usize;
-    let mut json_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--reps" => {
-                reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps needs a number");
-            }
-            "--json" => {
-                json_path = Some(it.next().expect("--json needs a path").clone());
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
+    let args = Args::parse(|_, _| false);
+    if args.baseline.is_some() {
+        bail("bench_native has no committed baseline to gate against");
     }
+    let reps = args.reps;
 
     let Some(tc) = Toolchain::detect() else {
         eprintln!("SKIP: no host C compiler found (tried $CC, cc, gcc, clang)");
@@ -132,7 +106,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         let mut out =
             String::from("{\n  \"schema\": \"descend-bench-native/1\",\n  \"entries\": [\n");
         for (i, e) in entries.iter().enumerate() {

@@ -13,24 +13,23 @@
 //!             [--trace DIR]
 //!
 //! `--json` writes the machine-readable results. `--baseline` re-reads a
-//! previously committed file and exits non-zero when any entry above the
-//! noise floor regressed by more than 25% wall-clock — the scheduled CI
-//! bench job runs with `--baseline BENCH_SIM.json` as a perf ratchet.
+//! previously committed file and exits 1 when any entry above the
+//! ratchet's noise floor regressed by more than 25% wall-clock — the
+//! scheduled CI bench job runs with `--baseline BENCH_SIM.json` as a perf
+//! ratchet. A baseline that cannot be read, has no `entries`, or lacks
+//! an entry this run measured exits 2.
 //! `--trace DIR` additionally records one traced run per benchmark at
 //! the reduced parity-test footprints and writes the raw launch-trace
 //! JSON per launch into DIR (deterministic artifacts; tracing never
 //! runs inside the timed section, so the timings above are unaffected).
 
+use descend_bench::ratchet::{self, bail, load_baseline, sim_entries, sim_key, Args};
+use descend_bench::SIM_BENCHES;
 use descend_benchmarks::sources::{BLOCK_SIZE, HIST_BINS, HIST_BLOCK, STENCIL_BLOCK};
 use descend_benchmarks::{baselines, run_benchmark_traced, trace_param, ALL_BENCHMARKS};
 use gpu_sim::trace::launch_trace_json;
 use gpu_sim::{ElemTy, ExecMode, Gpu, LaunchConfig};
 use std::time::Instant;
-
-/// Entries above this baseline wall-clock participate in the >25%
-/// regression gate; smaller ones are timer noise.
-const GATE_FLOOR_MS: f64 = 20.0;
-const REGRESSION_FACTOR: f64 = 1.25;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Scale {
@@ -65,14 +64,11 @@ fn cfg(exec: ExecMode, detect_races: bool) -> LaunchConfig {
     }
 }
 
-/// Launch-only wall-clock for one benchmark at one footprint, min over
-/// `reps` fresh GPUs (state never carries across reps).
-fn time_bench(bench: &'static str, param: usize, cfg: &LaunchConfig, reps: usize) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        best = best.min(run_once(bench, param, cfg));
-    }
-    best
+/// Launch-only wall-clock in milliseconds for one benchmark at one
+/// footprint, min over `reps` fresh GPUs (state never carries across
+/// reps).
+fn time_bench(bench: &str, param: usize, cfg: &LaunchConfig, reps: usize) -> f64 {
+    ratchet::min_of(reps, || run_once(bench, param, cfg) * 1e3)
 }
 
 /// One full run of a benchmark; returns seconds spent inside
@@ -189,39 +185,26 @@ fn run_once(bench: &str, param: usize, cfg: &LaunchConfig) -> f64 {
     }
 }
 
-/// (name, interpreter-scale param, paper-scale param).
-const BENCHES: [(&str, usize, usize); 7] = [
-    ("Reduce", 1 << 14, 1 << 20),
-    ("ReduceShfl", 1 << 14, 1 << 20),
-    ("Scan", 1 << 14, 1 << 20),
-    ("Histogram", 1 << 14, 1 << 20),
-    ("Stencil", 1 << 14, 1 << 20),
-    ("Transpose", 128, 1024),
-    ("MM", 64, 256),
-];
-
 fn main() {
-    let mut reps = 5usize;
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
     let mut with_reference = true;
     let mut only: Option<String> = None;
     let mut trace_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--reps" => reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N"),
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--baseline" => baseline_path = Some(args.next().expect("--baseline PATH")),
+    let args = Args::parse(|flag, rest| {
+        match flag {
             "--no-reference" => with_reference = false,
-            "--only" => only = Some(args.next().expect("--only BENCH")),
-            "--trace" => trace_dir = Some(args.next().expect("--trace DIR")),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--only" => only = Some(ratchet::value(rest, "--only BENCH")),
+            "--trace" => trace_dir = Some(ratchet::value(rest, "--trace DIR")),
+            _ => return false,
         }
-    }
+        true
+    });
+    let reps = args.reps;
+    // Read the baseline before timing anything, so a bad path or a
+    // drifted layout fails fast.
+    let baseline = args.baseline.as_deref().map(|path| {
+        let old = load_baseline(path).and_then(|b| sim_entries(&b));
+        (path, old.unwrap_or_else(|e| bail(&format!("{path}: {e}"))))
+    });
 
     // Every entry in both race settings: `detect_races: false` is the
     // default launch config; `detect_races: true` is the race-checked
@@ -229,13 +212,13 @@ fn main() {
     // interpreter paid for the append-only access log the shadow
     // detector replaced.
     let mut entries = Vec::new();
-    for (bench, interp_n, paper_n) in BENCHES {
+    for (bench, interp_n, paper_n) in SIM_BENCHES {
         if only.as_deref().is_some_and(|o| o != bench) {
             continue;
         }
         for (scale, n) in [(Scale::Interpreter, interp_n), (Scale::Paper, paper_n)] {
             for races in [false, true] {
-                let warp_ms = time_bench(bench, n, &cfg(ExecMode::Warp, races), reps) * 1e3;
+                let warp_ms = time_bench(bench, n, &cfg(ExecMode::Warp, races), reps);
                 // Lane-stepping comparison at the largest common
                 // footprint: the same min-of-N estimator as the warp
                 // side, with the rep count halved (bounded below by 2)
@@ -243,9 +226,8 @@ fn main() {
                 // magnitude — asymmetric sampling would bias the ratio
                 // on a machine with bursty background load.
                 let ref_reps = (reps / 2).max(2);
-                let reference_ms = (with_reference && scale == Scale::Paper).then(|| {
-                    time_bench(bench, n, &cfg(ExecMode::Reference, races), ref_reps) * 1e3
-                });
+                let reference_ms = (with_reference && scale == Scale::Paper)
+                    .then(|| time_bench(bench, n, &cfg(ExecMode::Reference, races), ref_reps));
                 let speedup = reference_ms.map(|r| r / warp_ms);
                 entries.push(Entry {
                     bench,
@@ -284,7 +266,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &json_path {
+    if let Some(path) = &args.json {
         std::fs::write(path, to_json(&entries)).expect("write json");
         println!("wrote {path}");
     }
@@ -315,22 +297,15 @@ fn main() {
         }
     }
 
-    if let Some(path) = &baseline_path {
-        let baseline = std::fs::read_to_string(path).expect("read baseline");
-        let old = parse_entries(&baseline);
+    if let Some((path, old)) = baseline {
         let mut regressed = false;
         for e in &entries {
-            let key = (e.bench.to_string(), e.param, e.detect_races);
-            let Some(old_ms) = old.get(&key) else {
-                continue;
+            let key = sim_key(e.bench, e.param, e.detect_races);
+            let Some(&old_ms) = old.get(&key) else {
+                bail(&format!("baseline {path} has no entry for {key}"));
             };
-            if *old_ms >= GATE_FLOOR_MS && e.warp_ms > old_ms * REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: {} param={} races={}: {:.1}ms vs baseline {:.1}ms (>25%)",
-                    e.bench, e.param, e.detect_races, e.warp_ms, old_ms
-                );
-                regressed = true;
-            }
+            let what = format!("{} param={} races={}", e.bench, e.param, e.detect_races);
+            regressed |= ratchet::regressed(&what, old_ms, e.warp_ms);
         }
         if regressed {
             std::process::exit(1);
@@ -388,34 +363,4 @@ fn aggregate(entries: &[Entry]) -> Option<(f64, f64, f64)> {
         (w > 0.0).then(|| r / w)
     };
     Some((sums(None)?, sums(Some(false))?, sums(Some(true))?))
-}
-
-/// Minimal parser for the JSON this tool itself writes: one entry
-/// object per line, fields in fixed order. Robust enough for the CI
-/// ratchet without pulling in a JSON dependency.
-fn parse_entries(json: &str) -> std::collections::HashMap<(String, usize, bool), f64> {
-    let mut map = std::collections::HashMap::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            continue;
-        }
-        let field = |name: &str| -> Option<String> {
-            let tag = format!("\"{name}\": ");
-            let start = line.find(&tag)? + tag.len();
-            let rest = &line[start..];
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim().trim_matches('"').to_string())
-        };
-        let (Some(bench), Some(param), Some(races), Some(warp_ms)) = (
-            field("bench"),
-            field("param").and_then(|v| v.parse::<usize>().ok()),
-            field("detect_races").and_then(|v| v.parse::<bool>().ok()),
-            field("warp_ms").and_then(|v| v.parse::<f64>().ok()),
-        ) else {
-            continue;
-        };
-        map.insert((bench, param, races), warp_ms);
-    }
-    map
 }

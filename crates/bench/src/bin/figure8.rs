@@ -20,11 +20,16 @@
 //!   (`trace_param`) — the timeline shape is the artifact, not the
 //!   scale. Deterministic: byte-identical across executor modes and
 //!   simulation thread counts.
+//!
+//! The table is followed by one ablation line: the modeled cycles of
+//! the unrolled vs a looped handwritten Reduce baseline.
 
 use descend_bench::{fmt_ratio, median_result};
-use descend_benchmarks::{footprints, run_benchmark_traced, trace_param, ALL_BENCHMARKS};
+use descend_benchmarks::{
+    baselines, footprints, run_benchmark_traced, trace_param, ALL_BENCHMARKS,
+};
 use gpu_sim::trace::chrome_trace;
-use gpu_sim::LaunchConfig;
+use gpu_sim::{Gpu, LaunchConfig};
 
 /// Records one traced run per benchmark at reduced footprints and
 /// writes one Chrome-trace timeline per benchmark into `dir`.
@@ -45,6 +50,30 @@ fn write_traces(dir: &str, cfg: &LaunchConfig) {
         }
     }
     println!();
+}
+
+/// Descend unrolls static for-nat loops (like `nvcc -O3` does), and the
+/// handwritten baselines are transcribed the same way. Returns the
+/// modeled cycles of the unrolled and of a *looped* Reduce baseline at
+/// n=2^15, bs=512, to show the Figure 8 comparison is not an artifact
+/// of unrolling.
+fn reduce_loop_ablation(cfg: &LaunchConfig) -> (u64, u64) {
+    let (n, bs) = (1 << 15, 512);
+    let data: Vec<f64> = (0..n).map(|i| (i % 11) as f64).collect();
+    let cycles = |kernel| {
+        let mut gpu = Gpu::new();
+        let inp = gpu.alloc_f64(&data);
+        let out = gpu.alloc_f64(&vec![0.0; n / bs]);
+        let grid = [(n / bs) as u64, 1, 1];
+        let block = [bs as u64, 1, 1];
+        gpu.launch(&kernel, grid, block, &[inp, out], cfg)
+            .expect("Reduce baseline runs clean")
+            .cycles
+    };
+    (
+        cycles(baselines::reduce(n, bs)),
+        cycles(baselines::reduce_looped(n, bs)),
+    )
 }
 
 fn main() {
@@ -135,4 +164,11 @@ fn main() {
             max_dev * 100.0
         );
     }
+    let (unrolled, looped) = reduce_loop_ablation(&cfg);
+    println!();
+    println!(
+        "Ablation (Reduce baseline, n=32768, bs=512): unrolled {unrolled} cycles, \
+         looped {looped} cycles, looped/unrolled {}",
+        fmt_ratio(looped as f64 / unrolled as f64)
+    );
 }

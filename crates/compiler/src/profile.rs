@@ -13,6 +13,7 @@
 //! machine JSON document ([`render_json`], schema `descend-profile/1`,
 //! validated against `schemas/profile.schema.json` in CI).
 
+use descend_diag::json::escape;
 use gpu_sim::trace::{LaunchTrace, TraceTotals};
 use gpu_sim::LaunchStats;
 use std::fmt::Write as _;
@@ -219,39 +220,21 @@ pub fn render_text(profiles: &[LaunchProfile]) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders profiles as the machine JSON document, schema
-/// `descend-profile/1` (see `schemas/profile.schema.json`). Hand-rolled
-/// like every JSON producer in the tree — no serde in the dependency
-/// cone. Deterministic: derived solely from the deterministic traces.
+/// `descend-profile/1` (see `schemas/profile.schema.json`), written
+/// against a fixed layout with strings escaped by the shared
+/// `descend_diag::json::escape`. Deterministic: derived solely from the
+/// deterministic traces.
 pub fn render_json(file: &str, host_fn: &str, profiles: &[LaunchProfile]) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"schema\": \"descend-profile/1\",");
-    let _ = writeln!(s, "  \"file\": \"{}\",", json_escape(file));
-    let _ = writeln!(s, "  \"host_fn\": \"{}\",", json_escape(host_fn));
+    let _ = writeln!(s, "  \"file\": \"{}\",", escape(file));
+    let _ = writeln!(s, "  \"host_fn\": \"{}\",", escape(host_fn));
     let total: u64 = profiles.iter().map(|p| p.stats.cycles).sum();
     let _ = writeln!(s, "  \"total_cycles\": {total},");
     s.push_str("  \"launches\": [\n");
     for (i, p) in profiles.iter().enumerate() {
-        let _ = writeln!(s, "    {{\"kernel\": \"{}\",", json_escape(&p.kernel));
+        let _ = writeln!(s, "    {{\"kernel\": \"{}\",", escape(&p.kernel));
         let _ = writeln!(
             s,
             "     \"grid_dim\": [{}, {}, {}], \"block_dim\": [{}, {}, {}], \"sm_count\": {},",
@@ -281,7 +264,7 @@ pub fn render_json(file: &str, host_fn: &str, profiles: &[LaunchProfile]) -> Str
                 r.barrier_cycles,
                 r.shuffle_cycles,
                 r.accesses,
-                json_escape(&r.source),
+                escape(&r.source),
                 if j + 1 < p.lines.len() { "," } else { "" }
             );
         }
@@ -308,11 +291,5 @@ mod tests {
         assert_eq!(line_col(&starts, 3), (2, 1));
         assert_eq!(line_col(&starts, 6), (3, 1));
         assert_eq!(line_col(&starts, 7), (4, 1));
-    }
-
-    #[test]
-    fn json_escape_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -31,314 +31,19 @@
 //! build daemon submitting a whole project wants. `stats` reports the
 //! persistent session's cumulative query hit/miss counters.
 //!
-//! JSON parsing and serialization are hand-rolled here (no external
-//! dependencies, like every artifact writer in this repo); the parser
-//! accepts arbitrary JSON including `\uXXXX` escapes and surrogate
-//! pairs.
+//! JSON goes through the tree's one JSON module, `descend_diag::json`,
+//! re-exported here as [`Json`] and [`parse_json`]. Its parser refuses
+//! documents nested deeper than
+//! [`MAX_DEPTH`](descend_diag::json::MAX_DEPTH) and malformed `\u`
+//! escapes, so a hostile request line gets an error response instead of
+//! aborting the server and every client's warm cache with it.
 
-use crate::profile::{self, json_escape};
+use crate::profile;
 use crate::{CompileSession, Compiled, QueryCounter};
+pub use descend_diag::json::{parse as parse_json, Json};
 use gpu_sim::LaunchConfig;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{BufRead, Write};
-
-/// A JSON value. Objects preserve insertion order so serialization is
-/// deterministic.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as f64, like JavaScript).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The value under `key`, when this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string content, when this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, when this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serializes compactly (single line, no spaces after separators).
-    pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&json_escape(k));
-                    out.push_str("\":");
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Parses one JSON document (surrounding whitespace allowed).
-///
-/// # Errors
-///
-/// A message with the byte offset of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("expected a value at byte {}", self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: the low half must follow.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err("unpaired surrogate".to_string());
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("invalid escape `\\{}`", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 char (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .ok_or("truncated \\u escape")?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
-        self.pos = end;
-        Ok(v)
-    }
-}
 
 fn err_response(msg: impl Into<String>) -> Json {
     Json::Obj(vec![
@@ -357,11 +62,13 @@ fn compile(session: &mut CompileSession, req: &Json) -> Result<Compiled, Json> {
         // structured diagnostic (code, spans, help) so clients need not
         // scrape the human rendering. One object per the
         // `descend-diagnostics/1` schema's `diagnostics[]` items.
-        let diag = parse_json(&e.diag.to_json(src)).expect("diagnostic JSON is well-formed");
         Json::Obj(vec![
             ("ok".into(), Json::Bool(false)),
             ("error".into(), Json::Str(e.rendered.trim_end().into())),
-            ("diagnostics".into(), Json::Arr(vec![diag])),
+            (
+                "diagnostics".into(),
+                Json::Arr(vec![e.diag.to_json_value(src)]),
+            ),
         ])
     })
 }
@@ -643,6 +350,22 @@ mod tests {
         // Protocol errors (not compile errors) have no diagnostics.
         let resp = request(&mut s, r#"{"cmd":"frobnicate"}"#);
         assert!(resp.get("diagnostics").is_none());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_malformed_request_not_an_abort() {
+        let input = format!("{}\n{}\n", "[".repeat(200_000), r#"{"cmd":"stats"}"#);
+        let mut out = Vec::new();
+        serve(input.as_bytes(), &mut out).expect("io");
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        let bad = parse_json(lines[0]).unwrap();
+        assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
+        let msg = bad.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.starts_with("malformed request"), "{msg}");
+        let stats = parse_json(lines[1]).unwrap();
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+        assert!(stats.get("stats").and_then(|s| s.get("parse")).is_some());
     }
 
     #[test]

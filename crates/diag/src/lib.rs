@@ -25,13 +25,17 @@
 //! The same diagnostic also renders to machine-readable JSON
 //! ([`Diagnostic::to_json`], [`render_json`]; schema
 //! `descend-diagnostics/1`, `schemas/diagnostics.schema.json`) for
-//! `descendc check --json` and the compile server.
+//! `descendc check --json` and the compile server. The [`json`] module
+//! that encoding is built on is the tree's one JSON value type, parser
+//! and string escape.
 
 #![deny(missing_docs)]
 
+pub mod json;
 pub mod registry;
 
 use descend_ast::Span;
+use json::Json;
 use std::fmt;
 
 /// A labelled source span inside a diagnostic.
@@ -127,42 +131,34 @@ impl Diagnostic {
         out
     }
 
-    /// Renders the diagnostic as one JSON object (no trailing newline),
-    /// per the `descend-diagnostics/1` schema: stable `code` (or
-    /// `null`), `severity`, `title`, primary `message`, every span with
-    /// byte offsets and 1-based line/column, `help` notes, and the full
-    /// human `rendered` text.
+    /// The diagnostic as one JSON object, per the `descend-diagnostics/1`
+    /// schema: stable `code` (or `null`), `severity`, `title`, primary
+    /// `message`, every span with byte offsets and 1-based line/column,
+    /// `help` notes, and the full human `rendered` text.
+    pub fn to_json_value(&self, source: &str) -> Json {
+        let spans = std::iter::once((&self.primary, true))
+            .chain(self.secondary.iter().map(|l| (l, false)))
+            .map(|(label, primary)| span_json(source, label, primary))
+            .collect();
+        let text = |s: &str| Json::Str(s.to_string());
+        Json::Obj(vec![
+            ("code".into(), self.code.map_or(Json::Null, text)),
+            ("severity".into(), text("error")),
+            ("title".into(), text(&self.title)),
+            ("message".into(), text(&self.primary.message)),
+            ("spans".into(), Json::Arr(spans)),
+            (
+                "help".into(),
+                Json::Arr(self.help.iter().map(|h| text(h)).collect()),
+            ),
+            ("rendered".into(), text(&self.render(source))),
+        ])
+    }
+
+    /// [`Diagnostic::to_json_value`] serialized compactly (one line, no
+    /// trailing newline).
     pub fn to_json(&self, source: &str) -> String {
-        let mut out = String::new();
-        out.push('{');
-        match self.code {
-            Some(c) => out.push_str(&format!("\"code\":\"{c}\",")),
-            None => out.push_str("\"code\":null,"),
-        }
-        out.push_str("\"severity\":\"error\",");
-        out.push_str(&format!("\"title\":\"{}\",", json_escape(&self.title)));
-        out.push_str(&format!(
-            "\"message\":\"{}\",",
-            json_escape(&self.primary.message)
-        ));
-        out.push_str("\"spans\":[");
-        span_json(&mut out, source, &self.primary, true);
-        for l in &self.secondary {
-            out.push(',');
-            span_json(&mut out, source, l, false);
-        }
-        out.push_str("],\"help\":[");
-        for (i, h) in self.help.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(h)));
-        }
-        out.push_str(&format!(
-            "],\"rendered\":\"{}\"}}",
-            json_escape(&self.render(source))
-        ));
-        out
+        self.to_json_value(source).to_string_compact()
     }
 }
 
@@ -174,7 +170,7 @@ pub fn render_json(file: &str, source: &str, diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"descend-diagnostics/1\",\n");
-    out.push_str(&format!("  \"file\": \"{}\",\n", json_escape(file)));
+    out.push_str(&format!("  \"file\": \"{}\",\n", json::escape(file)));
     out.push_str(&format!(
         "  \"ok\": {},\n",
         if diags.is_empty() { "true" } else { "false" }
@@ -194,33 +190,20 @@ pub fn render_json(file: &str, source: &str, diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn span_json(out: &mut String, source: &str, label: &Label, primary: bool) {
+fn span_json(source: &str, label: &Label, primary: bool) -> Json {
     let (line, col) = line_col(source, label.span.start);
     let (end_line, end_col) = line_col(source, label.span.end);
-    out.push_str(&format!(
-        "{{\"primary\":{primary},\"start\":{},\"end\":{},\"line\":{line},\"col\":{col},\
-         \"end_line\":{end_line},\"end_col\":{end_col},\"label\":\"{}\"}}",
-        label.span.start,
-        label.span.end,
-        json_escape(&label.message)
-    ));
+    let num = |n: usize| Json::Num(n as f64);
+    Json::Obj(vec![
+        ("primary".into(), Json::Bool(primary)),
+        ("start".into(), num(label.span.start as usize)),
+        ("end".into(), num(label.span.end as usize)),
+        ("line".into(), num(line)),
+        ("col".into(), num(col)),
+        ("end_line".into(), num(end_line)),
+        ("end_col".into(), num(end_col)),
+        ("label".into(), Json::Str(label.message.clone())),
+    ])
 }
 
 impl fmt::Display for Diagnostic {
@@ -437,12 +420,6 @@ mod tests {
         assert!(r.contains("1 |   a(\n"), "{r}");
         assert!(r.contains("6 | | 5)\n"), "{r}");
         assert!(!r.contains("3,"), "middle lines should be elided: {r}");
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
